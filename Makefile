@@ -1,4 +1,4 @@
-.PHONY: test bench reliability observability recovery parallel fleet engine batch overload shard profile examples artifacts all
+.PHONY: test bench reliability observability recovery parallel fleet engine batch overload shard streams profile examples artifacts all
 
 test:
 	pytest tests/
@@ -44,6 +44,10 @@ overload:
 shard:
 	PYTHONPATH=src python -m pytest benchmarks/bench_shard.py --benchmark-disable
 	PYTHONPATH=src python -m pytest tests/storage/test_cluster.py tests/storage/test_sharded_relational.py tests/storage/test_failure_detector.py tests/streams/test_partitioned.py tests/core/test_shard_pruning.py tests/properties/test_shard_properties.py -q
+
+streams:
+	PYTHONPATH=src python -m pytest benchmarks/bench_streams.py --benchmark-disable
+	PYTHONPATH=src python -m pytest tests/streams perfbench/test_layers.py -q
 
 examples:
 	@for f in examples/*.py; do echo "== $$f =="; python $$f > /dev/null && echo OK; done

@@ -817,7 +817,7 @@ def _recover_analyze(args: argparse.Namespace) -> int:
     with open(args.export_file, "r", encoding="utf-8") as handle:
         store = replay_json(handle.read())
     journal_streams = sorted(
-        {m.stream_id for m in store.trace() if m.has_tag(JOURNAL_TAG)}
+        {m.stream_id for m in store.trace_by_tag(JOURNAL_TAG)}
     )
     if not journal_streams:
         print("no write-ahead journal records in this export")

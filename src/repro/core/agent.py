@@ -104,7 +104,7 @@ class Agent:
         subscription = context.store.subscribe(
             subscriber=self.name,
             callback=self._on_control,
-            stream_pattern=f"{context.session.session_id}:*",
+            stream_pattern=f"{context.session.namespace}*",
             control_only=True,
         )
         self._subscription_ids.append(subscription.subscription_id)
@@ -113,7 +113,7 @@ class Agent:
             subscription = context.store.subscribe(
                 subscriber=self.name,
                 callback=self._on_data,
-                stream_pattern=f"{context.session.session_id}:*",
+                stream_pattern=f"{context.session.namespace}*",
                 include_tags=self.listen_tags,
                 exclude_tags=self.exclude_tags,
                 data_only=True,
@@ -308,7 +308,7 @@ class Agent:
             stream_id = self.output_stream_id(param)
         if not context.store.has_stream(stream_id):
             context.session.ensure_stream(
-                stream_id.removeprefix(f"{context.session.session_id}:"),
+                stream_id.removeprefix(context.session.namespace),
                 creator=self.name,
             )
         message_metadata = {"agent": self.name, "param": param}

@@ -975,7 +975,7 @@ class TaskCoordinator(Agent):
     ) -> tuple[dict[str, Any] | None, NodeFailure | None]:
         """One EXECUTE_AGENT emission plus output/error collection."""
         context = self._require_context()
-        marker = len(context.store.trace())
+        marker = context.store.trace_length()
         started = context.clock.now()
         extra: dict[str, Any] = {}
         if model is not None:
@@ -1036,10 +1036,10 @@ class TaskCoordinator(Agent):
         messages there).
         """
         context = self._require_context()
-        session_prefix = f"{context.session.session_id}:"
+        session_prefix = context.session.namespace
         outputs: dict[str, Any] = {}
         failure: NodeFailure | None = None
-        for message in context.store.trace()[marker:]:
+        for message in context.store.trace_since(marker):
             if not message.stream_id.startswith(session_prefix):
                 continue
             if message.is_data and message.metadata.get("node") == node_id:

@@ -17,7 +17,7 @@ from typing import Any, Iterable
 
 from ..errors import SessionError
 from ..ids import IdGenerator
-from ..streams import Instruction, Stream, StreamStore
+from ..streams import NAMESPACE_SEPARATOR, Instruction, Stream, StreamStore
 
 
 class Scope:
@@ -76,8 +76,14 @@ class Session:
     # ------------------------------------------------------------------
     # Stream naming
     # ------------------------------------------------------------------
+    @property
+    def namespace(self) -> str:
+        """Prefix of every stream this session owns (``"sess-000001:"``);
+        ``namespace + "*"`` subscribes to all of them."""
+        return f"{self.session_id}{NAMESPACE_SEPARATOR}"
+
     def stream_id(self, name: str) -> str:
-        return f"{self.session_id}:{name}"
+        return f"{self.namespace}{name}"
 
     @property
     def session_stream(self) -> Stream:
@@ -103,7 +109,7 @@ class Session:
         return self.create_stream(name, creator=creator)
 
     def streams(self) -> list[str]:
-        prefix = f"{self.session_id}:"
+        prefix = self.namespace
         return [s for s in self.store.list_streams() if s.startswith(prefix)]
 
     # ------------------------------------------------------------------

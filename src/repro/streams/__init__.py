@@ -15,7 +15,7 @@ from .persistence import export_json, export_store, replay_json, replay_store
 from .textstream import UtteranceAssembler, collect_text, stream_words
 from .message import Instruction, Message, MessageKind, control_payload
 from .monitor import FlowStep, FlowTrace
-from .store import StreamStore
+from .store import NAMESPACE_SEPARATOR, StreamStore
 from .stream import Stream, StreamReader
 from .subscription import Subscription, TagRule
 
@@ -39,6 +39,7 @@ __all__ = [
     "control_payload",
     "FlowStep",
     "FlowTrace",
+    "NAMESPACE_SEPARATOR",
     "StreamStore",
     "Stream",
     "StreamReader",

@@ -54,8 +54,9 @@ def export_json(store: StreamStore) -> str:
 def replay_store(snapshot: Mapping[str, Any]) -> StreamStore:
     """Rebuild a store from an export.
 
-    Messages are appended directly to their streams and the trace —
-    subscribers are *not* re-triggered; a replayed store is an archive,
+    Messages are appended directly to their streams and the trace (with
+    its tag/producer indexes and per-kind tallies) — subscribers are
+    *not* re-triggered; a replayed store is an archive,
     not a live re-execution.
     """
     store = StreamStore(SimClock(float(snapshot.get("clock", 0.0))))
@@ -76,7 +77,7 @@ def replay_store(snapshot: Mapping[str, Any]) -> StreamStore:
             metadata=dict(record.get("metadata", {})),
         )
         store.ensure_stream(message.stream_id).append(message)
-        store._trace.append(message)  # archive path: bypass live dispatch
+        store._record(message)  # archive path: bypass live dispatch
     return store
 
 

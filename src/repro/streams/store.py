@@ -27,6 +27,18 @@ from .subscription import Subscription, SubscriberCallback, TagRule
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..observability import Observability
 
+#: Ends a stream id's namespace: a session names every stream it owns
+#: ``{session_id}:{name}``, so ``stream_id[:first ':' + 1]`` is the
+#: session's namespace and ``"{session_id}:*"`` subscribes to all of it.
+#: The dispatch index keys session-scoped subscriptions on it.
+NAMESPACE_SEPARATOR = ":"
+
+
+def stream_namespace(stream_id: str) -> str:
+    """The namespace prefix of *stream_id* (through its first separator),
+    or ``""`` when it has none."""
+    return stream_id[: stream_id.find(NAMESPACE_SEPARATOR) + 1]
+
 
 class StreamStore:
     """In-process streams database with pub/sub and full observability."""
@@ -41,12 +53,20 @@ class StreamStore:
         self._subscriptions: dict[str, Subscription] = {}
         # Dispatch index: rather than testing every subscription against
         # every message (O(subscriptions) per publish), candidates come
-        # from an exact-stream table (literal patterns), a tag table
-        # (glob patterns with include tags — they can only match messages
-        # carrying one of those tags), and a catch-all side list (glob
-        # patterns with no include tags).  ``wants()`` still runs on each
-        # candidate, so the index only has to be complete, not precise.
+        # from four tiers, each a bucket table keyed by what a message
+        # must carry to match:
+        #   * exact — literal patterns, keyed by stream id;
+        #   * namespaced — globs whose literal prefix reaches the first
+        #     ``NAMESPACE_SEPARATOR`` (``"sess-3:*"``), keyed
+        #     ``(namespace, None)`` if untagged, else ``(namespace, tag)``
+        #     once per include tag — so a publish only examines its own
+        #     session's subscriptions;
+        #   * tagged — other globs with include tags, keyed by tag;
+        #   * catch-all — other globs with no include tags.
+        # ``wants()`` still runs on each candidate, so the index only has
+        # to be complete (never miss a match), not precise.
         self._exact_subs: dict[str, dict[str, Subscription]] = {}
+        self._namespaced: dict[tuple[str, str | None], dict[str, Subscription]] = {}
         self._tagged_wildcards: dict[str, dict[str, Subscription]] = {}
         self._catchall_wildcards: dict[str, Subscription] = {}
         # Global insertion sequence, so merged candidates are delivered
@@ -167,15 +187,26 @@ class StreamStore:
         )
         self._persist(message)
         stream.append(message)
+        self._record(message)
+        self._dispatch(message)
+        return message
+
+    def _record(self, message: Message) -> None:
+        """Append *message* to the global trace, its indexes and tallies.
+
+        The one write path into the trace: live publishes and archive
+        replay (:func:`~repro.streams.persistence.replay_store`) both go
+        through it, so a replayed store answers ``trace_by_tag`` /
+        ``trace_by_producer`` / ``stats`` exactly as the original did.
+        """
         with self._lock:
             self._trace.append(message)
             for tag in message.tags:
                 self._trace_by_tag.setdefault(tag, []).append(message)
             self._trace_by_producer.setdefault(message.producer, []).append(message)
             counts = self._message_counts
-            counts[kind.value] = counts.get(kind.value, 0) + 1
-        self._dispatch(message)
-        return message
+            kind = message.kind.value
+            counts[kind] = counts.get(kind, 0) + 1
 
     def _persist(self, message: Message) -> None:
         """Durability hook, called before the message touches any in-memory
@@ -243,6 +274,24 @@ class StreamStore:
         with self._lock:
             return list(self._subscriptions.values())
 
+    def _index_keys(
+        self, subscription: Subscription
+    ) -> tuple[dict[Any, dict[str, Subscription]] | None, list[Any]]:
+        """The bucket table and keys *subscription* is filed under
+        (``None`` table: the catch-all list)."""
+        pattern = subscription.stream_pattern
+        include = subscription.tag_rule.include
+        if not self._GLOB_CHARS.intersection(pattern):
+            return self._exact_subs, [pattern]
+        namespace = stream_namespace(pattern)
+        if namespace and not self._GLOB_CHARS.intersection(namespace):
+            if include:
+                return self._namespaced, [(namespace, tag) for tag in include]
+            return self._namespaced, [(namespace, None)]
+        if include:
+            return self._tagged_wildcards, list(include)
+        return None, []
+
     def _index_subscription(self, subscription: Subscription) -> None:
         """File *subscription* under the index bucket(s) it can match from.
 
@@ -251,71 +300,72 @@ class StreamStore:
         sub_id = subscription.subscription_id
         self._sub_counter += 1
         self._sub_order[sub_id] = self._sub_counter
-        pattern = subscription.stream_pattern
-        if not self._GLOB_CHARS.intersection(pattern):
-            self._exact_subs.setdefault(pattern, {})[sub_id] = subscription
-        elif subscription.tag_rule.include:
-            for tag in subscription.tag_rule.include:
-                self._tagged_wildcards.setdefault(tag, {})[sub_id] = subscription
-        else:
+        table, keys = self._index_keys(subscription)
+        if table is None:
             self._catchall_wildcards[sub_id] = subscription
+        for key in keys:
+            table.setdefault(key, {})[sub_id] = subscription
 
     def _unindex_subscription(self, subscription: Subscription) -> None:
         """Remove *subscription* from every index bucket.  Caller holds the lock."""
         sub_id = subscription.subscription_id
         self._sub_order.pop(sub_id, None)
-        pattern = subscription.stream_pattern
-        if not self._GLOB_CHARS.intersection(pattern):
-            bucket = self._exact_subs.get(pattern)
+        table, keys = self._index_keys(subscription)
+        if table is None:
+            self._catchall_wildcards.pop(sub_id, None)
+        for key in keys:
+            bucket = table.get(key)
             if bucket is not None:
                 bucket.pop(sub_id, None)
                 if not bucket:
-                    del self._exact_subs[pattern]
-        elif subscription.tag_rule.include:
-            for tag in subscription.tag_rule.include:
-                bucket = self._tagged_wildcards.get(tag)
-                if bucket is not None:
-                    bucket.pop(sub_id, None)
-                    if not bucket:
-                        del self._tagged_wildcards[tag]
-        else:
-            self._catchall_wildcards.pop(sub_id, None)
+                    del table[key]
 
     def _candidates(self, message: Message) -> list[Subscription]:
         """Every subscription that *could* want the message, in insertion order.
 
         Caller holds the lock.  Complete by construction: a literal
-        pattern only matches its own stream; a glob with include tags
-        only matches messages carrying one of them; everything else is
-        in the catch-all list.  May over-approximate (``wants()`` is the
-        final word), never under-approximate.
+        pattern only matches its own stream; a glob whose literal prefix
+        is a namespace only matches streams in that namespace (and, with
+        include tags, only messages carrying one of them); any other glob
+        with include tags only matches messages carrying one of them;
+        everything else is in the catch-all list.  May over-approximate
+        (``wants()`` is the final word), never under-approximate.
         """
-        exact = self._exact_subs.get(message.stream_id)
-        tagged_buckets = []
-        if message.tags:
-            for tag in message.tags:
-                tagged = self._tagged_wildcards.get(tag)
-                if tagged:
-                    tagged_buckets.append(tagged)
-        catchall = self._catchall_wildcards
-        # Single-bucket fast paths: each bucket dict is insertion-ordered
+        stream_id = message.stream_id
+        tags = message.tags
+        buckets = []
+        bucket = self._exact_subs.get(stream_id)
+        if bucket:
+            buckets.append(bucket)
+        namespaced = self._namespaced
+        if namespaced:
+            namespace = stream_namespace(stream_id)
+            if namespace:
+                bucket = namespaced.get((namespace, None))
+                if bucket:
+                    buckets.append(bucket)
+                for tag in tags:
+                    bucket = namespaced.get((namespace, tag))
+                    if bucket:
+                        buckets.append(bucket)
+        for tag in tags:
+            bucket = self._tagged_wildcards.get(tag)
+            if bucket:
+                buckets.append(bucket)
+        if self._catchall_wildcards:
+            buckets.append(self._catchall_wildcards)
+        # Single-bucket fast path: each bucket dict is insertion-ordered
         # (ids are never re-indexed), so its values are already in
         # ``_sub_order`` order — no merge, no sort.
-        if not tagged_buckets:
-            if exact and not catchall:
-                return list(exact.values())
-            if not exact:
-                return list(catchall.values())
+        if len(buckets) == 1:
+            return list(buckets[0].values())
+        if not buckets:
+            return []
         merged: dict[str, Subscription] = {}
-        if exact:
-            merged.update(exact)
-        for tagged in tagged_buckets:
-            merged.update(tagged)
-        merged.update(catchall)
-        if len(merged) > 1:
-            order = self._sub_order
-            return sorted(merged.values(), key=lambda s: order[s.subscription_id])
-        return list(merged.values())
+        for bucket in buckets:
+            merged.update(bucket)
+        order = self._sub_order
+        return sorted(merged.values(), key=lambda s: order[s.subscription_id])
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -366,6 +416,15 @@ class StreamStore:
         with self._lock:
             return list(self._trace)
 
+    def trace_length(self) -> int:
+        """How many messages the trace holds — a position for :meth:`trace_since`."""
+        return len(self._trace)
+
+    def trace_since(self, position: int) -> list[Message]:
+        """The trace from *position* on (copies only that tail, not the log)."""
+        with self._lock:
+            return self._trace[position:]
+
     def trace_by_tag(self, tag: str) -> list[Message]:
         """Messages carrying *tag*, in publish order (indexed, no scan)."""
         with self._lock:
@@ -379,15 +438,9 @@ class StreamStore:
     def stats(self) -> dict[str, Any]:
         """Counts for dashboards and benches."""
         with self._lock:
-            messages = list(self._trace)
-            n_streams = len(self._streams)
-            n_subs = len(self._subscriptions)
-        kinds: dict[str, int] = {}
-        for message in messages:
-            kinds[message.kind.value] = kinds.get(message.kind.value, 0) + 1
-        return {
-            "streams": n_streams,
-            "subscriptions": n_subs,
-            "messages": len(messages),
-            "by_kind": kinds,
-        }
+            return {
+                "streams": len(self._streams),
+                "subscriptions": len(self._subscriptions),
+                "messages": len(self._trace),
+                "by_kind": dict(self._message_counts),
+            }

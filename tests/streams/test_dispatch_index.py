@@ -1,10 +1,11 @@
 """Regression tests for indexed dispatch and incremental trace indexes.
 
 The store replaced its O(all-subscriptions) dispatch scan with an
-exact-stream / tagged-wildcard / catch-all index, and its trace query
-re-scans with per-tag and per-producer indexes built at publish time.
-These tests prove both yield *identical* results to the reference
-linear scans they replaced — same targets, same delivery order.
+exact-stream / session-namespace / tagged-wildcard / catch-all index, and
+its trace query re-scans with per-tag and per-producer indexes built at
+publish time.  These tests prove both yield *identical* results to the
+reference linear scans they replaced — same targets, same delivery
+order — and that a publish examines only its own session's agents.
 """
 
 import random
@@ -12,7 +13,10 @@ import random
 import pytest
 
 from repro.clock import SimClock
-from repro.streams import StreamStore
+from repro.core.agent import FunctionAgent
+from repro.core.session import SessionManager
+from repro.core.context import AgentContext
+from repro.streams import StreamStore, Subscription
 
 
 @pytest.fixture
@@ -85,47 +89,112 @@ class TestDispatchIndexEquivalence:
 
     def test_unsubscribe_cleans_every_bucket(self, store):
         store.create_stream("s")
+        store.create_stream("ns:s")
         subs = [
             store.subscribe("e", lambda m: None, stream_pattern="s"),
             store.subscribe("t", lambda m: None, include_tags=["T"]),
             store.subscribe("w", lambda m: None),
+            store.subscribe("n", lambda m: None, stream_pattern="ns:*"),
+            store.subscribe(
+                "nt", lambda m: None, stream_pattern="ns:*", include_tags=["T", "U"]
+            ),
         ]
+        assert set(store._namespaced) == {("ns:", None), ("ns:", "T"), ("ns:", "U")}
         for sub in subs:
             store.unsubscribe(sub.subscription_id)
         assert store._exact_subs == {}
+        assert store._namespaced == {}
         assert store._tagged_wildcards == {}
         assert store._catchall_wildcards == {}
         assert store._sub_order == {}
         hits = []
         store.subscribe("later", hits.append)
+        store.subscribe("later-ns", hits.append, stream_pattern="ns:*")
         store.publish_data("s", 1, tags=["T"])
-        assert len(hits) == 1
+        store.publish_data("ns:s", 2, tags=["T"])
+        assert [m.payload for m in hits] == [1, 2, 2]
 
-    def test_randomized_equivalence(self, store):
-        rng = random.Random(7)
-        streams = ["alpha", "beta", "gamma/one", "gamma/two"]
+    def test_namespace_needs_a_literal_prefix(self, store):
+        """Only a glob-free prefix through the first separator is a namespace."""
+        for pattern in ("s1:*", "s1:a?", "s1:[ab]", "s1:x:*"):
+            store.subscribe(pattern, lambda m: None, stream_pattern=pattern)
+        for pattern in ("*:x", "s?:*", "[s]1:*", "s1*"):
+            store.subscribe(pattern, lambda m: None, stream_pattern=pattern)
+        assert set(store._namespaced) == {("s1:", None)}
+        assert len(store._namespaced[("s1:", None)]) == 4
+        assert len(store._catchall_wildcards) == 4
+
+    def test_randomized_equivalence(self):
+        streams = [
+            "alpha", "beta", "gamma/one", "gamma/two",
+            "s1:x", "s1:ab", "s1:sub:x", "s2:x", "s2:ab", "s10:x",
+        ]
+        patterns = streams + [
+            "*", "gamma/*", "?lpha", "*a",
+            "s1:*", "s1:a?", "s2:*", "s1:sub:*", "*:x", "s?:*", "s1*",
+        ]
         tags = ["SQL", "DOC", "IMG", "DRAFT"]
-        for sid in streams:
-            store.create_stream(sid)
-        log = []
-        for i in range(40):
-            pattern = rng.choice(streams + ["*", "gamma/*", "?lpha", "*a"])
-            include = rng.sample(tags, rng.randint(0, 2))
-            exclude = rng.sample(tags, rng.randint(0, 1))
-            store.subscribe(
-                f"sub{i}",
-                (lambda name: lambda m: log.append((name, m.message_id)))(f"sub{i}"),
-                stream_pattern=pattern,
-                include_tags=include,
-                exclude_tags=exclude,
-            )
-        for _ in range(60):
-            message = store.publish_data(
-                rng.choice(streams), "x", tags=rng.sample(tags, rng.randint(0, 3))
-            )
-            expected = [s.subscriber for s in scan_targets(store, message)]
-            delivered = [n for n, mid in log if mid == message.message_id]
-            assert delivered == expected
+        for seed in (7, 11, 23):
+            rng = random.Random(seed)
+            store = StreamStore(SimClock())
+            for sid in streams:
+                store.create_stream(sid)
+            log = []
+            for i in range(60):
+                store.subscribe(
+                    f"sub{i}",
+                    (lambda name: lambda m: log.append((name, m.message_id)))(f"sub{i}"),
+                    stream_pattern=rng.choice(patterns),
+                    include_tags=rng.sample(tags, rng.randint(0, 2)),
+                    exclude_tags=rng.sample(tags, rng.randint(0, 1)),
+                )
+            for _ in range(120):
+                message = store.publish_data(
+                    rng.choice(streams), "x", tags=rng.sample(tags, rng.randint(0, 3))
+                )
+                expected = [s.subscriber for s in scan_targets(store, message)]
+                delivered = [n for n, mid in log if mid == message.message_id]
+                assert delivered == expected, (seed, message.stream_id, message.tags)
+
+
+class TestSessionScopedDispatch:
+    """A publish examines its own session's subscriptions, not everyone's."""
+
+    AGENTS_PER_SESSION = 3
+
+    def attach_sessions(self, store, n_sessions):
+        sessions = SessionManager(store)
+        created = []
+        for s in range(n_sessions):
+            session = sessions.create(f"sess-{s}")
+            context = AgentContext(store=store, session=session, clock=store.clock)
+            for a in range(self.AGENTS_PER_SESSION):
+                # One untagged control subscription plus one tagged data
+                # subscription per agent — the shapes every agent files.
+                FunctionAgent(f"A{a}", lambda inputs: {}, listen_tags=("T",)).attach(context)
+            created.append(session)
+        return created
+
+    @pytest.mark.parametrize("n_sessions", [1, 4, 16, 64])
+    def test_wants_calls_equal_own_session_subscriptions(self, monkeypatch, n_sessions):
+        store = StreamStore(SimClock())
+        session = self.attach_sessions(store, n_sessions)[0]
+        own = [
+            s for s in store.subscriptions() if s.stream_pattern == session.stream_id("*")
+        ]
+        assert len(own) == 2 * self.AGENTS_PER_SESSION
+        examined = []
+        wants = Subscription.wants
+
+        def counting_wants(subscription, message):
+            examined.append(message.message_id)
+            return wants(subscription, message)
+
+        monkeypatch.setattr(Subscription, "wants", counting_wants)
+        message = store.publish_data(session.session_stream.stream_id, "x", tags=["T"])
+        assert examined.count(message.message_id) == len(own)
+        control = store.publish_control(session.session_stream.stream_id, "PING")
+        assert examined.count(control.message_id) == self.AGENTS_PER_SESSION
 
 
 class TestTraceIndexEquivalence:

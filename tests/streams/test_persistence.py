@@ -64,6 +64,20 @@ class TestReplay:
         replayed.publish_data("chat", "new", producer="user")
         assert len(got) == 1
 
+    def test_replay_rebuilds_trace_indexes_and_tallies(self, store):
+        store.publish_data("out", 1, tags=("T",), producer="p")
+        store.publish_data("chat", 2, tags=("T", "USER"), producer="p")
+        replayed = replay_json(export_json(store))
+        for tag in ("T", "USER", "missing"):
+            assert replayed.trace_by_tag(tag) == store.trace_by_tag(tag)
+        for producer in ("p", "user", "X", "tc"):
+            assert replayed.trace_by_producer(producer) == store.trace_by_producer(producer)
+        assert len(replayed.trace_by_tag("T")) == 2
+        assert len(replayed.trace_by_producer("p")) == 2
+        assert replayed.stats()["by_kind"] == store.stats()["by_kind"] == {
+            "data": 4, "control": 1,
+        }
+
     def test_roundtrip_via_json(self, store):
         replayed = replay_json(export_json(store))
         assert len(replayed.trace()) == 3
