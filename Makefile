@@ -27,11 +27,11 @@ fleet:
 	PYTHONPATH=src python -m pytest tests/core/test_fleet.py tests/llm/test_capacity_singleflight.py tests/properties/test_fleet_properties.py tests/streams/test_dispatch_index.py -q
 
 engine:
-	PYTHONPATH=src python -m pytest tests/core/test_engine.py tests/properties/test_parallel_properties.py tests/properties/test_fleet_properties.py tests/properties/test_async_properties.py -q
+	PYTHONPATH=src python -m pytest tests/core/test_engine.py tests/properties/test_parallel_properties.py tests/properties/test_fleet_properties.py -q
 
 batch:
 	PYTHONPATH=src python -m pytest benchmarks/bench_fleet.py --benchmark-disable
-	PYTHONPATH=src python -m pytest tests/llm/test_batching.py tests/llm/test_cache.py tests/llm/test_capacity_singleflight.py tests/properties/test_async_properties.py -q
+	PYTHONPATH=src python -m pytest tests/llm/test_batching.py tests/llm/test_cache.py tests/llm/test_capacity_singleflight.py tests/properties/test_fleet_properties.py::TestBatchingDeterminism -q
 
 profile:
 	PYTHONPATH=src python -m pytest benchmarks/bench_profile.py --benchmark-disable

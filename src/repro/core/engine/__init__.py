@@ -2,7 +2,6 @@
 
 from .backend import (
     SERIAL,
-    AsyncBackend,
     ExecutionBackend,
     SerialBackend,
     ThreadBackend,
@@ -11,7 +10,6 @@ from .backend import (
 
 __all__ = [
     "SERIAL",
-    "AsyncBackend",
     "ExecutionBackend",
     "SerialBackend",
     "ThreadBackend",

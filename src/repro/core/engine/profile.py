@@ -169,9 +169,7 @@ def to_artifact(report: dict[str, Any], plans: int, backend: str) -> dict[str, A
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--plans", type=int, default=8)
-    parser.add_argument(
-        "--backend", choices=("serial", "threads", "async"), default="serial"
-    )
+    parser.add_argument("--backend", choices=("serial", "threads"), default="serial")
     parser.add_argument(
         "--top", type=int, default=15, help="also print the top-N functions"
     )

@@ -197,14 +197,13 @@ class Blueprint:
         attach agents and a QoS budget.
 
         *backend* selects the execution backend: ``"serial"`` (default;
-        single-threaded, byte-identical deterministic traces),
+        single-threaded, byte-identical deterministic traces) or
         ``"threads"`` (wave nodes and fleet rounds run on real worker
         threads — result-identical, wall-clock faster when agent work
-        blocks), or ``"async"`` (the same concurrency gathered as
-        coroutines on an asyncio event loop).  An
-        :class:`~repro.core.engine.ExecutionBackend` instance may be
-        passed directly (the caller then owns its lifecycle);
-        string-built concurrent backends are closed on return.
+        blocks).  An :class:`~repro.core.engine.ExecutionBackend`
+        instance may be passed directly (the caller then owns its
+        lifecycle); a ``"threads"`` backend built from the string is
+        closed on return.
         """
         self._wire_fleet_contention(single_flight, capacity, batching)
         engine = resolve_backend(backend)
@@ -254,7 +253,8 @@ class Blueprint:
         PR-5 FIFO backlog bounded by *max_backlog* — the naive
         ablation); *brownout* an optional
         :class:`~repro.core.overload.BrownoutController`.  Everything
-        else matches :meth:`run_fleet`.
+        else, including *backend* (``"serial"`` or ``"threads"``),
+        matches :meth:`run_fleet`.
         """
         self._wire_fleet_contention(single_flight, capacity, batching)
         arrivals = (

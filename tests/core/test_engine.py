@@ -26,7 +26,6 @@ from repro.clock import SimClock
 from repro.core.budget import Budget
 from repro.core.engine import (
     SERIAL,
-    AsyncBackend,
     SerialBackend,
     ThreadBackend,
     resolve_backend,
@@ -321,18 +320,6 @@ class TestBackendResolution:
         finally:
             backend.close()
 
-    def test_async_builds_fresh_instances(self):
-        first = resolve_backend("async")
-        alias = resolve_backend("asyncio")
-        try:
-            assert isinstance(first, AsyncBackend)
-            assert isinstance(alias, AsyncBackend)
-            assert first is not alias
-            assert first.concurrent
-        finally:
-            first.close()
-            alias.close()
-
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             resolve_backend("gevent")
@@ -341,9 +328,6 @@ class TestBackendResolution:
         backend = ThreadBackend()
         backend.close()
         backend.close()
-        async_backend = AsyncBackend()
-        async_backend.close()  # close before any work: no loop yet
-        async_backend.close()
 
 
 def _workload(blueprint: Blueprint, plans: int) -> list[FleetSubmission]:
@@ -407,64 +391,6 @@ class TestThreadBackendFleet:
             max_inflight=3,
             single_flight=False,
             backend="threads",
-        )
-        lingering = {
-            t.name
-            for t in threading.enumerate()
-            if t.name.startswith("engine-")
-        } - before
-        assert not lingering
-
-
-class TestAsyncBackendFleet:
-    def test_async_fleet_matches_serial_results(self):
-        def run(backend: str):
-            blueprint = Blueprint()
-            result = blueprint.run_fleet(
-                _workload(blueprint, 6),
-                max_inflight=3,
-                single_flight=False,
-                backend=backend,
-            )
-            return {
-                p.plan_id: (
-                    p.outcome,
-                    {k: v for k, v in sorted(p.run.node_outputs.items())}
-                    if p.run is not None
-                    else None,
-                )
-                for p in result.plans
-            }, result.makespan
-
-        serial, serial_makespan = run("serial")
-        async_results, async_makespan = run("async")
-        assert serial == async_results
-        assert async_makespan == pytest.approx(serial_makespan)
-
-    def test_node_spans_parent_under_plan_spans(self):
-        blueprint = Blueprint()
-        blueprint.run_fleet(
-            _workload(blueprint, 4),
-            max_inflight=4,
-            single_flight=False,
-            backend="async",
-        )
-        tracer = blueprint.observability.tracer
-        plan_ids = {s.span_id for s in tracer.find(kind="plan")}
-        node_spans = tracer.find(kind="node")
-        assert node_spans
-        assert all(s.parent_id in plan_ids for s in node_spans)
-
-    def test_async_backend_closes_after_string_run(self):
-        """run_fleet built the backend from a name, so neither its event
-        loop thread nor its executors may outlive the call."""
-        before = {t.name for t in threading.enumerate()}
-        blueprint = Blueprint()
-        blueprint.run_fleet(
-            _workload(blueprint, 3),
-            max_inflight=3,
-            single_flight=False,
-            backend="async",
         )
         lingering = {
             t.name

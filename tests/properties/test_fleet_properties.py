@@ -26,6 +26,11 @@ Acceptance criteria for fleet execution:
   interleaving) may differ.  A failed wave is the one defined
   divergence: serial stops at the first failing node, thread mode has
   already started its siblings, so serial's executed set is a subset.
+
+* **Batching determinism.**  A serial fleet with micro-batching enabled
+  reproduces the store export byte for byte run to run: batch-window
+  membership and flush instants are pure functions of the submission
+  list on the simulated clock.
 """
 
 from hypothesis import given, settings
@@ -51,6 +56,7 @@ from repro.core.runtime import Blueprint
 from repro.core.scheduler import VirtualTimeline
 from repro.core.session import SessionManager
 from repro.errors import CoordinatorKilledError
+from repro.llm import LLMBatcher
 from repro.streams import StreamStore
 from repro.streams.persistence import export_json
 
@@ -389,3 +395,49 @@ class TestFleetDeterminism:
 
         assert by_plan(permuted) == by_plan(base)
         assert permuted.makespan == base.makespan
+
+
+class TestBatchingDeterminism:
+    @given(seed=st.integers(min_value=0, max_value=100))
+    @settings(max_examples=8, deadline=None)
+    def test_batched_fleet_is_byte_identical_on_serial(self, seed):
+        """Micro-batch membership is a pure function of the submission
+        list under the serial backend: reruns reproduce the store export
+        byte for byte, and the batcher tallies agree."""
+        order = [seed % 5, (seed + 1) % 5, (seed + 2) % 5, (seed + 3) % 5]
+
+        def run():
+            kwargs = dict(
+                max_inflight=4,
+                capacity={"mega-s": 1, "mega-m": 1},
+                single_flight=True,
+                batching=LLMBatcher(max_batch_wait=1.0),
+            )
+            bp, result = run_fleet_blueprint(order, **kwargs)
+            return export_json(bp.store), result.makespan, bp.catalog.batcher.stats()
+
+        export_1, makespan_1, stats_1 = run()
+        export_2, makespan_2, stats_2 = run()
+        assert export_1 == export_2
+        assert makespan_1 == makespan_2
+        assert stats_1 == stats_2
+
+    @given(seed=st.integers(min_value=0, max_value=100))
+    @settings(max_examples=5, deadline=None)
+    def test_batching_never_changes_outcomes(self, seed):
+        """Batching amortizes latency and slots; it must not change any
+        plan's outcome or node outputs."""
+        order = [seed % 5, (seed + 1) % 5, (seed + 2) % 5]
+
+        def outcomes(batching):
+            kwargs = dict(max_inflight=3, single_flight=False, batching=batching)
+            _, result = run_fleet_blueprint(order, **kwargs)
+            return {
+                p.plan_id: (
+                    p.outcome,
+                    dict(p.run.node_outputs) if p.run else None,
+                )
+                for p in result.plans
+            }
+
+        assert outcomes(LLMBatcher(max_batch_wait=1.0)) == outcomes(False)
