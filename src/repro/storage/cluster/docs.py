@@ -25,7 +25,8 @@ shard key is immutable).
 from __future__ import annotations
 
 import threading
-from typing import Any, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
+from typing import Any
 
 from ...clock import SimClock
 from ...errors import QueryError, StorageError
@@ -244,6 +245,7 @@ class ClusteredCollection(Collection):
             indices, pruned = self.shards_for_filter(filter_spec)
         results: list[dict[str, Any]] = []
         docs_scanned = 0
+        docs_examined = 0
         for state in self._cluster.primary_states(list(indices)):
             collection = self._shard_collection(state)
             if collection is None:
@@ -252,11 +254,11 @@ class ClusteredCollection(Collection):
             # Push sort+limit down: top-k per shard is a superset of the
             # global top-k.  Projection waits for the router (the merge
             # sort needs the sort field).
-            results.extend(
-                collection.find(
-                    filter_spec, sort=sort, descending=descending, limit=limit
-                )
+            found, examined = collection._find_examined(
+                filter_spec, sort=sort, descending=descending, limit=limit
             )
+            results.extend(found)
+            docs_examined += examined
         if sort is not None and len(indices) > 1:
             results.sort(key=lambda d: _sortable(get_path(d, sort)), reverse=descending)
         if limit is not None:
@@ -270,6 +272,7 @@ class ClusteredCollection(Collection):
             "shards_total": self._cluster.n_shards,
             "pruned": pruned,
             "docs_scanned": docs_scanned,
+            "docs_examined": docs_examined,
             "rows": len(results),
         }
         self._cluster._metric(

@@ -8,14 +8,18 @@ fan-out to the owning shards.
 
 SQL execution at the router takes one of two paths:
 
-* **Pushdown** — single-table SELECTs without aggregates, grouping,
+* **Pushdown** — a join-free, subquery-free SELECT whose pruning leaves
+  one shard runs whole on that shard's primary, aggregates, GROUP BY,
+  DISTINCT and OFFSET included: the shard holds every row it can see.
+  Across shards, single-table SELECTs without aggregates, grouping,
   DISTINCT, or OFFSET execute on each pruned shard's primary (ORDER BY
   and LIMIT pushed down: per-shard top-k is a superset of the global
   top-k), then the router merges, re-sorts, and re-limits.
-* **Gather** — anything else (joins, aggregates, GROUP BY, subqueries)
-  copies the pruned slices of every referenced table into an ephemeral
-  single-node scratch database and runs the original statement there
-  once.  Slower, but gives full SQL semantics with one implementation.
+* **Gather** — anything else (joins, multi-shard aggregates and GROUP
+  BY) copies the pruned slices of every referenced table into an
+  ephemeral single-node scratch database and runs the original statement
+  there once.  Slower, but gives full SQL semantics with one
+  implementation.
 
 Writes never take a shortcut: INSERT rows are evaluated at the router,
 routed by partition value, and quorum-appended; UPDATE/DELETE replay the
@@ -25,7 +29,7 @@ in the same order, so their tables stay identical).
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from ...clock import SimClock
 from ...errors import StorageError
@@ -367,7 +371,7 @@ class ShardedDatabase(Database):
             select.where, front, select.table.binding(), parameters
         )
         pruned = len(shards) < self.cluster.n_shards
-        if self._can_push_down(select):
+        if self._can_push_down(select, shards):
             result = self._pushdown_select(select, sql, parameters, shards)
             path = "pushdown"
         else:
@@ -386,12 +390,25 @@ class ShardedDatabase(Database):
         )
         return result
 
-    def _can_push_down(self, select: ast.Select) -> bool:
-        if select.joins or select.group_by or select.having is not None:
+    def _can_push_down(self, select: ast.Select, shards: list[int]) -> bool:
+        """Whether each pruned shard can run *select* itself.
+
+        One shard holds every row a join-free statement can see, so it runs
+        whole there; a subquery could name another table, whose slice on
+        that shard is not the whole table.  Across shards the router can
+        only re-sort and re-limit what the shards return.
+        """
+        if select.joins:
+            return False
+        if len(shards) == 1 and not any(
+            _has_node(expr, _is_subquery) for expr in _expressions(select)
+        ):
+            return True
+        if select.group_by or select.having is not None:
             return False
         if select.distinct or select.offset:
             return False
-        if any(_has_aggregate(item.expr) for item in select.items):
+        if any(_has_node(item.expr, _is_aggregate) for item in select.items):
             return False
         for item in select.order_by:
             if not isinstance(item.expr, ast.ColumnRef):
@@ -461,7 +478,7 @@ class ShardedDatabase(Database):
             target = scratch.create_table(front.schema)
             for state in self.cluster.primary_states(table_shards):
                 if state.has_table(table_name):
-                    slice_rows = state.table(table_name).rows()
+                    slice_rows = state.table(table_name).snapshot()
                     target.insert_many(slice_rows)
                     copied += len(slice_rows)
             for column, kind in front.indexed_columns().items():
@@ -524,11 +541,22 @@ class ShardedDatabase(Database):
         return self.cluster.export()
 
 
-def _has_aggregate(expr: ast.Expr) -> bool:
-    if isinstance(expr, ast.FunctionCall):
-        return expr.is_aggregate or any(_has_aggregate(a) for a in expr.args)
-    if isinstance(expr, ast.Binary):
-        return _has_aggregate(expr.left) or _has_aggregate(expr.right)
-    if isinstance(expr, ast.Unary):
-        return _has_aggregate(expr.operand)
-    return False
+def _expressions(select: ast.Select) -> list[ast.Expr]:
+    """Every top-level expression of a join-free SELECT."""
+    found = [item.expr for item in select.items]
+    found += [order.expr for order in select.order_by]
+    found += list(select.group_by)
+    found += [expr for expr in (select.where, select.having) if expr is not None]
+    return found
+
+
+def _has_node(expr: ast.Expr, test: Callable[[ast.Expr], bool]) -> bool:
+    return test(expr) or any(_has_node(child, test) for child in ast.children(expr))
+
+
+def _is_subquery(expr: ast.Expr) -> bool:
+    return isinstance(expr, (ast.Subquery, ast.InSubquery, ast.Exists))
+
+
+def _is_aggregate(expr: ast.Expr) -> bool:
+    return isinstance(expr, ast.FunctionCall) and expr.is_aggregate

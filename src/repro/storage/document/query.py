@@ -17,7 +17,8 @@ Dotted paths descend into nested documents: ``{"address.city": "SF"}``.
 from __future__ import annotations
 
 import re
-from typing import Any, Mapping, Sequence
+from collections.abc import Mapping, Sequence
+from typing import Any
 
 from ...errors import QueryError
 

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import threading
-from typing import Any, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
+from typing import Any
 
 from ...errors import QueryError, StorageError
 from ...ids import IdGenerator
@@ -87,8 +88,36 @@ class Collection:
         limit: int | None = None,
     ) -> list[dict[str, Any]]:
         """Documents matching *filter_spec* (all when None)."""
+        results, _ = self._find_examined(filter_spec, sort, descending, limit)
+        if fields is not None:
+            results = [project(document, fields) for document in results]
+        return results
+
+    def _find_examined(
+        self,
+        filter_spec: Mapping[str, Any] | None = None,
+        sort: str | None = None,
+        descending: bool = False,
+        limit: int | None = None,
+    ) -> tuple[list[dict[str, Any]], int]:
+        """Copies of the matching documents, sorted and limited, plus how
+        many documents the filter ran on.
+
+        Without *sort*, a *limit* stops the scan at its limit-th match and
+        only the returned documents are copied.
+        """
         filter_spec = filter_spec or {}
         candidates = self._candidates(filter_spec)
+        if sort is None and limit is not None and limit >= 0:
+            results: list[dict[str, Any]] = []
+            examined = 0
+            for document in candidates:
+                if len(results) == limit:
+                    break
+                examined += 1
+                if matches(document, filter_spec):
+                    results.append(dict(document))
+            return results, examined
         results = [
             dict(document) for document in candidates if matches(document, filter_spec)
         ]
@@ -98,9 +127,7 @@ class Collection:
             )
         if limit is not None:
             results = results[:limit]
-        if fields is not None:
-            results = [project(document, fields) for document in results]
-        return results
+        return results, len(candidates)
 
     def find_one(self, filter_spec: Mapping[str, Any] | None = None) -> dict[str, Any] | None:
         found = self.find(filter_spec, limit=1)

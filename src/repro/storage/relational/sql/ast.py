@@ -117,6 +117,25 @@ class Exists(Expr):
     negated: bool = False
 
 
+def children(expr: Expr) -> tuple[Expr, ...]:
+    """The expressions directly inside *expr* (a subquery's SELECT is a
+    statement, not a child)."""
+    if isinstance(expr, (Unary, IsNull, InSubquery)):
+        return (expr.operand,)
+    if isinstance(expr, Binary):
+        return (expr.left, expr.right)
+    if isinstance(expr, InList):
+        return (expr.operand, *expr.items)
+    if isinstance(expr, Between):
+        return (expr.operand, expr.low, expr.high)
+    if isinstance(expr, FunctionCall):
+        return expr.args
+    if isinstance(expr, CaseWhen):
+        nested = [part for pair in expr.whens for part in pair]
+        return (*nested, expr.default) if expr.default is not None else tuple(nested)
+    return ()
+
+
 # ----------------------------------------------------------------------
 # Statements
 # ----------------------------------------------------------------------

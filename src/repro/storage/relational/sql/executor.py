@@ -15,8 +15,10 @@ references both resolve naturally.
 
 from __future__ import annotations
 
+import functools
+import operator
 import re
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from ....errors import SQLError, StorageError
 from ...schema import Column, ColumnType, TableSchema
@@ -28,6 +30,10 @@ from .functions import SCALAR_FUNCTIONS, make_aggregate
 from .parser import parse
 
 Env = dict[str, dict[str, Any]]
+#: Table binding -> its column names, for every binding an env carries.
+Scope = dict[str, frozenset[str]]
+#: A compiled expression: ``(env, aggregate values or None) -> value``.
+Compiled = Callable[[Env, "list[Any] | None"], Any]
 
 #: Sentinel: an expression that cannot be folded to a constant at plan time.
 _NOT_CONSTANT = object()
@@ -80,19 +86,24 @@ class Executor:
     # SELECT pipeline
     # ------------------------------------------------------------------
     def _execute_select(self, select: ast.Select) -> SQLResult:
-        envs = self._base_rows(select)
+        table = self._db.table(select.table.name)
+        binding = select.table.binding()
+        scope: Scope = {binding: frozenset(table.schema.column_names())}
+        envs = self._base_rows(table, binding, select.where)
         for join in select.joins:
-            envs = self._apply_join(envs, join)
+            envs = self._apply_join(envs, join, scope)
         if select.where is not None:
-            envs = [env for env in envs if _truthy(self._eval(select.where, env))]
+            where = self._compile(select.where, scope)
+            envs = [env for env in envs if where(env, None)]
         has_aggregates = any(
             _find_aggregates(item.expr) for item in select.items
         ) or (select.having is not None and _find_aggregates(select.having))
         if select.group_by or has_aggregates:
-            rows = self._grouped_projection(select, envs)
+            rows = self._grouped_projection(select, envs, scope)
         else:
-            rows = [self._project(select.items, env) for env in envs]
-            rows = self._order_rows(select, rows, envs)
+            project = self._projector(select.items, scope)
+            rows = [project(env, None) for env in envs]
+            rows = self._order_rows(select, rows, envs, scope)
         columns = self._output_columns(select.items, envs)
         if select.distinct:
             rows = _distinct_rows(rows)
@@ -102,12 +113,12 @@ class Executor:
             rows = rows[: select.limit]
         return SQLResult(rows=rows, columns=columns, statement_kind="select")
 
-    def _base_rows(self, select: ast.Select) -> list[Env]:
-        table = self._db.table(select.table.name)
-        binding = select.table.binding()
-        candidates = self._access_path(table, binding, select.where)
+    def _base_rows(
+        self, table: Table, binding: str, where: ast.Expr | None
+    ) -> list[Env]:
+        candidates = self._access_path(table, binding, where)
         if candidates is None:
-            rows = table.rows()
+            rows = table.snapshot()
             self.stats.rows_scanned += len(rows)
         else:
             rows = candidates
@@ -141,7 +152,7 @@ class Executor:
             value = self._eval_constant(literal)
             if expr.op == "=":
                 self.stats.used_index = f"{table.name}.{column_ref.name}"
-                return table.get_by_row_ids(index.lookup(value))
+                return table.snapshot(index.lookup(value))
             if isinstance(index, SortedIndex):
                 # Only handle column-on-left ranges; flipped forms fall back.
                 if not isinstance(expr.left, ast.ColumnRef):
@@ -151,7 +162,7 @@ class Executor:
                     ids = index.range(low=value, low_inclusive=expr.op == ">=")
                 else:
                     ids = index.range(high=value, high_inclusive=expr.op == "<=")
-                return table.get_by_row_ids(ids)
+                return table.snapshot(ids)
             return None
         if isinstance(expr, ast.InList) and not expr.negated:
             if not isinstance(expr.operand, ast.ColumnRef):
@@ -165,7 +176,7 @@ class Executor:
             if any(value is _NOT_CONSTANT for value in values):
                 return None
             self.stats.used_index = f"{table.name}.{expr.operand.name}"
-            return table.get_by_row_ids(index.lookup_many(values))
+            return table.snapshot(index.lookup_many(values))
         return None
 
     def _eval_constant(self, expr: ast.Expr) -> Any:
@@ -177,20 +188,23 @@ class Executor:
             return self._params[expr.name]
         return _NOT_CONSTANT
 
-    def _apply_join(self, envs: list[Env], join: ast.Join) -> list[Env]:
+    def _apply_join(self, envs: list[Env], join: ast.Join, scope: Scope) -> list[Env]:
+        """Join *join*'s table onto *envs*; adds its binding to *scope*."""
         table = self._db.table(join.table.name)
         binding = join.table.binding()
-        right_rows = table.rows()
+        right_rows = table.snapshot()
         self.stats.rows_scanned += len(right_rows)
         equi = _equi_join_key(join.condition, binding)
+        left_key = self._compile(equi[0], scope) if equi is not None else None
+        scope[binding] = frozenset(table.schema.column_names())
         joined: list[Env] = []
         if equi is not None:
-            left_key_expr, right_column = equi
+            right_column = equi[1]
             buckets: dict[Any, list[dict[str, Any]]] = {}
             for row in right_rows:
                 buckets.setdefault(row.get(right_column), []).append(row)
             for env in envs:
-                key = self._eval(left_key_expr, env)
+                key = left_key(env, None)
                 matches = buckets.get(key, []) if key is not None else []
                 for row in matches:
                     joined.append({**env, binding: row})
@@ -198,12 +212,16 @@ class Executor:
                 if not matches and join.kind == "left":
                     joined.append({**env, binding: _null_row(table)})
         else:
+            condition = (
+                self._compile(join.condition, scope)
+                if join.condition is not None
+                else None
+            )
             for env in envs:
                 matched = False
                 for row in right_rows:
                     candidate = {**env, binding: row}
-                    condition = join.condition
-                    if condition is None or _truthy(self._eval(condition, candidate)):
+                    if condition is None or condition(candidate, None):
                         joined.append(candidate)
                         matched = True
                         self.stats.rows_joined += 1
@@ -212,33 +230,16 @@ class Executor:
         return joined
 
     def _grouped_projection(
-        self, select: ast.Select, envs: list[Env]
+        self, select: ast.Select, envs: list[Env], scope: Scope
     ) -> list[dict[str, Any]]:
         groups: dict[tuple, list[Env]] = {}
         if select.group_by:
+            keys = [self._compile(expr, scope) for expr in select.group_by]
             for env in envs:
-                key = tuple(
-                    _hashable(self._eval(expr, env)) for expr in select.group_by
-                )
-                groups.setdefault(key, []).append(env)
+                group = tuple([_hashable(key(env, None)) for key in keys])
+                groups.setdefault(group, []).append(env)
         else:
             groups[()] = envs  # implicit single group (may be empty)
-        rows: list[dict[str, Any]] = []
-        representative_envs: list[Env] = []
-        for member_envs in groups.values():
-            agg_values = self._compute_aggregates(select, member_envs)
-            representative = member_envs[0] if member_envs else {}
-            if select.having is not None:
-                having_value = self._eval(select.having, representative, agg_values)
-                if not _truthy(having_value):
-                    continue
-            rows.append(self._project(select.items, representative, agg_values))
-            representative_envs.append(representative)
-        return self._order_rows(select, rows, representative_envs)
-
-    def _compute_aggregates(
-        self, select: ast.Select, envs: list[Env]
-    ) -> dict[ast.FunctionCall, Any]:
         calls: list[ast.FunctionCall] = []
         for item in select.items:
             calls.extend(_find_aggregates(item.expr))
@@ -246,40 +247,81 @@ class Executor:
             calls.extend(_find_aggregates(select.having))
         for order in select.order_by:
             calls.extend(_find_aggregates(order.expr))
-        values: dict[ast.FunctionCall, Any] = {}
-        for call in calls:
-            if call in values:
+        calls = list(dict.fromkeys(calls))
+        slots = {call: slot for slot, call in enumerate(calls)}
+        aggregates = [self._aggregate(call, scope) for call in calls]
+        # Once per group, where the representative env may be empty, so
+        # column reads resolve by name and fail as SQL errors.
+        having = (
+            self._compile(select.having, None, slots)
+            if select.having is not None
+            else None
+        )
+        project = self._projector(select.items, None, slots)
+        rows: list[dict[str, Any]] = []
+        representative_envs: list[Env] = []
+        for member_envs in groups.values():
+            agg_values = [aggregate(member_envs) for aggregate in aggregates]
+            representative = member_envs[0] if member_envs else {}
+            if having is not None and not having(representative, agg_values):
                 continue
-            count_star = bool(call.args) and isinstance(call.args[0], ast.Star)
-            count_star = count_star or (call.name == "COUNT" and not call.args)
+            rows.append(project(representative, agg_values))
+            representative_envs.append(representative)
+        return self._order_rows(select, rows, representative_envs, None)
+
+    def _aggregate(
+        self, call: ast.FunctionCall, scope: Scope
+    ) -> Callable[[list[Env]], Any]:
+        """One aggregate call compiled to a function of a group's envs."""
+        count_star = bool(call.args) and isinstance(call.args[0], ast.Star)
+        count_star = count_star or (call.name == "COUNT" and not call.args)
+        argument = (
+            self._compile(call.args[0], scope) if len(call.args) == 1 else None
+        )
+
+        def aggregate(envs: list[Env]) -> Any:
             accumulator = make_aggregate(call.name, count_star, call.distinct)
             for env in envs:
                 if count_star:
                     accumulator.add(1)
+                elif argument is None:
+                    raise SQLError(f"{call.name} expects one argument")
                 else:
-                    if len(call.args) != 1:
-                        raise SQLError(f"{call.name} expects one argument")
-                    accumulator.add(self._eval(call.args[0], env))
-            values[call] = accumulator.result()
-        return values
+                    accumulator.add(argument(env, None))
+            return accumulator.result()
 
-    def _project(
+        return aggregate
+
+    def _projector(
         self,
         items: Iterable[ast.SelectItem],
-        env: Env,
-        agg_values: dict[ast.FunctionCall, Any] | None = None,
-    ) -> dict[str, Any]:
-        row: dict[str, Any] = {}
+        scope: Scope | None,
+        slots: dict[ast.FunctionCall, int] | None = None,
+    ) -> Compiled:
+        """Compile a select list to a function building one output row."""
+        # (output name, compiled value), or (None, table) for a star item.
+        parts: list[tuple[str | None, Any]] = []
         for item in items:
             if isinstance(item.expr, ast.Star):
+                parts.append((None, item.expr.table))
+            else:
+                name = item.alias or _output_name(item.expr)
+                parts.append((name, self._compile(item.expr, scope, slots)))
+        if all(name is not None for name, _ in parts):
+            return lambda env, aggs: {name: value(env, aggs) for name, value in parts}
+
+        def project(env: Env, aggs: list[Any] | None) -> dict[str, Any]:
+            row: dict[str, Any] = {}
+            for name, part in parts:
+                if name is not None:
+                    row[name] = part(env, aggs)
+                    continue
                 for binding, bound_row in env.items():
-                    if item.expr.table is not None and binding != item.expr.table:
-                        continue
-                    row.update(bound_row)
-                continue
-            name = item.alias or _output_name(item.expr)
-            row[name] = self._eval(item.expr, env, agg_values)
-        return row
+                    if part is None or binding == part:
+                        row.update(bound_row)
+            return row
+
+        return project
 
     def _output_columns(
         self, items: Iterable[ast.SelectItem], envs: list[Env]
@@ -303,36 +345,47 @@ class Executor:
         select: ast.Select,
         rows: list[dict[str, Any]],
         envs: list[Env],
+        scope: Scope | None,
     ) -> list[dict[str, Any]]:
         if not select.order_by:
             return rows
+        keys = [
+            (self._order_value(order.expr, scope), order.descending)
+            for order in select.order_by
+        ]
         decorated = []
         for position, row in enumerate(rows):
             env = envs[position] if position < len(envs) else {}
-            sort_key = []
-            for order in select.order_by:
-                value = self._order_value(order.expr, row, env)
-                sort_key.append(_SortKey(value, order.descending))
-            decorated.append((sort_key, position, row))
-        decorated.sort(key=lambda entry: (entry[0], entry[1]))
-        return [row for _, _, row in decorated]
+            sort_key = [_SortKey(value(row, env), descending) for value, descending in keys]
+            decorated.append((sort_key, row))
+        # One stable pass per key, last key first: the same order as sorting
+        # on the whole key list, with ties kept in input order.
+        for level in reversed(range(len(keys))):
+            decorated.sort(key=lambda entry: entry[0][level])
+        return [row for _, row in decorated]
 
-    def _order_value(self, expr: ast.Expr, row: dict[str, Any], env: Env) -> Any:
-        # ORDER BY may reference an output alias or an input column.
-        if isinstance(expr, ast.ColumnRef) and expr.table is None and expr.name in row:
-            return row[expr.name]
-        aggregates = _find_aggregates(expr)
-        if aggregates:
+    def _order_value(
+        self, expr: ast.Expr, scope: Scope | None
+    ) -> Callable[[dict[str, Any], Env], Any]:
+        """ORDER BY may reference an output alias or an input column."""
+        alias = expr.name if isinstance(expr, ast.ColumnRef) else None
+        output = alias if alias is not None and expr.table is None else None
+        if output is None and _find_aggregates(expr):
             # Grouped query: aggregate results live in the projected row.
-            name = _output_name(expr)
-            if name in row:
-                return row[name]
-        try:
-            return self._eval(expr, env)
-        except SQLError:
-            if isinstance(expr, ast.ColumnRef) and expr.name in row:
-                return row[expr.name]
-            raise
+            output = _output_name(expr)
+        evaluate = self._compile(expr, scope)
+
+        def value(row: dict[str, Any], env: Env) -> Any:
+            if output is not None and output in row:
+                return row[output]
+            try:
+                return evaluate(env, None)
+            except SQLError:
+                if alias is not None and alias in row:
+                    return row[alias]
+                raise
+
+        return value
 
     # ------------------------------------------------------------------
     # DML / DDL
@@ -347,7 +400,7 @@ class Executor:
                     f"{len(insert.columns)} vs {len(value_tuple)}"
                 )
             row = {
-                column: self._eval(expr, {})
+                column: self._compile(expr, None)({}, None)
                 for column, expr in zip(insert.columns, value_tuple)
             }
             table.insert(row)
@@ -357,30 +410,21 @@ class Executor:
     def _execute_update(self, update: ast.Update) -> SQLResult:
         table = self._db.table(update.table)
         binding = update.table
+        scope: Scope = {binding: frozenset(table.schema.column_names())}
+        where = self._compile(update.where, scope) if update.where is not None else None
+        # Assignments may read the row they change (salary = salary * 2):
+        # every row is evaluated once, against its pre-statement values.
+        assignments = [
+            (column, self._compile(expr, scope)) for column, expr in update.assignments
+        ]
 
-        def predicate(row: dict[str, Any]) -> bool:
-            if update.where is None:
-                return True
-            return _truthy(self._eval(update.where, {binding: row}))
-
-        # Assignments may reference current row values (e.g. salary = salary*2),
-        # so compute per-row via update's callback contract.
-        count = 0
-        for row in table.rows():
-            if not predicate(row):
-                continue
+        def changes_for(row: dict[str, Any]) -> dict[str, Any] | None:
             env = {binding: row}
-            changes = {
-                column: self._eval(expr, env) for column, expr in update.assignments
-            }
-            key_column = table.schema.primary_key()
-            if key_column is not None:
-                key_value = row[key_column.name]
-                table.update(lambda r: r[key_column.name] == key_value, changes)
-            else:
-                frozen = dict(row)
-                table.update(lambda r: r == frozen, changes)
-            count += 1
+            if where is not None and not where(env, None):
+                return None
+            return {column: value(env, None) for column, value in assignments}
+
+        count = table.update_rows(changes_for)
         return SQLResult(rowcount=count, statement_kind="update")
 
     def _execute_delete(self, delete: ast.Delete) -> SQLResult:
@@ -389,9 +433,9 @@ class Executor:
         if delete.where is None:
             count = table.delete(lambda row: True)
         else:
-            count = table.delete(
-                lambda row: _truthy(self._eval(delete.where, {binding: row}))
-            )
+            scope: Scope = {binding: frozenset(table.schema.column_names())}
+            where = self._compile(delete.where, scope)
+            count = table.delete(lambda row: where({binding: row}, None))
         return SQLResult(rowcount=count, statement_kind="delete")
 
     def _execute_create_table(self, create: ast.CreateTable) -> SQLResult:
@@ -415,166 +459,334 @@ class Executor:
         return SQLResult(statement_kind="create_index")
 
     # ------------------------------------------------------------------
-    # Expression evaluation
+    # Expression compilation
     # ------------------------------------------------------------------
-    def _eval(
+    def _compile(
         self,
         expr: ast.Expr,
-        env: Env,
-        agg_values: dict[ast.FunctionCall, Any] | None = None,
-    ) -> Any:
+        scope: Scope | None,
+        slots: dict[ast.FunctionCall, int] | None = None,
+    ) -> Compiled:
+        """Compile *expr* to a function of ``(env, aggregate values)``.
+
+        *scope* maps each table binding every env will carry to its
+        columns; a column owned by exactly one binding is read straight
+        from that row.  With no scope, columns resolve by name per env.
+        *slots* places each aggregate call in the grouped context's value
+        list; without it an aggregate fails as used outside a group.
+
+        Compiling never raises: a missing parameter, an unknown function
+        or a bad operand raises the same :class:`SQLError` when (and only
+        when) the evaluation would have reached it.  Subtrees without
+        column or aggregate reads fold to constants when that succeeds.
+        """
+
+        def sub(child: ast.Expr) -> Compiled:
+            return self._compile(child, scope, slots)
+
         if isinstance(expr, ast.Literal):
-            return expr.value
+            return _Constant(expr.value)
         if isinstance(expr, ast.Parameter):
             if expr.name not in self._params:
-                raise SQLError(f"missing parameter: {expr.name!r}")
-            return self._params[expr.name]
+                return _fails(f"missing parameter: {expr.name!r}")
+            return _Constant(self._params[expr.name])
         if isinstance(expr, ast.ColumnRef):
-            return _resolve(env, expr)
+            return _column(expr, scope)
         if isinstance(expr, ast.Unary):
-            value = self._eval(expr.operand, env, agg_values)
-            if expr.op == "-":
-                return None if value is None else -value
-            if expr.op == "NOT":
-                return None if value is None else not _truthy(value)
-            raise SQLError(f"unknown unary operator: {expr.op}")
+            operand = sub(expr.operand)
+            return _fold(_unary(expr.op, operand), operand)
         if isinstance(expr, ast.Binary):
-            return self._eval_binary(expr, env, agg_values)
+            return _binary(expr.op, sub(expr.left), sub(expr.right))
         if isinstance(expr, ast.InList):
-            value = self._eval(expr.operand, env, agg_values)
-            if value is None:
-                return None
-            members = {self._eval(item, env, agg_values) for item in expr.items}
-            found = value in members
-            return (not found) if expr.negated else found
+            return _in_list(sub(expr.operand), [sub(i) for i in expr.items], expr.negated)
         if isinstance(expr, ast.Between):
-            value = self._eval(expr.operand, env, agg_values)
-            low = self._eval(expr.low, env, agg_values)
-            high = self._eval(expr.high, env, agg_values)
-            if value is None or low is None or high is None:
-                return None
-            inside = low <= value <= high
-            return (not inside) if expr.negated else inside
+            return _between(
+                sub(expr.operand), sub(expr.low), sub(expr.high), expr.negated
+            )
         if isinstance(expr, ast.IsNull):
-            value = self._eval(expr.operand, env, agg_values)
-            return (value is not None) if expr.negated else (value is None)
-        if isinstance(expr, ast.Exists):
-            result = self._execute_select(expr.select)
-            found = bool(result.rows)
-            return (not found) if expr.negated else found
-        if isinstance(expr, ast.Subquery):
-            result = self._execute_select(expr.select)
-            if not result.rows or not result.columns:
-                return None
-            return result.rows[0][result.columns[0]]
-        if isinstance(expr, ast.InSubquery):
-            value = self._eval(expr.operand, env, agg_values)
-            if value is None:
-                return None
-            result = self._execute_select(expr.select)
-            if not result.columns:
-                return False if not expr.negated else True
-            members = {row[result.columns[0]] for row in result.rows}
-            found = value in members
-            return (not found) if expr.negated else found
+            operand = sub(expr.operand)
+            if expr.negated:
+                return _fold(lambda env, aggs: operand(env, aggs) is not None, operand)
+            return _fold(lambda env, aggs: operand(env, aggs) is None, operand)
+        if isinstance(expr, (ast.Exists, ast.Subquery, ast.InSubquery)):
+            return self._compile_subquery(expr, scope, slots)
         if isinstance(expr, ast.FunctionCall):
-            return self._eval_function(expr, env, agg_values)
+            return self._compile_function(expr, scope, slots)
         if isinstance(expr, ast.CaseWhen):
-            for condition, result in expr.whens:
-                if _truthy(self._eval(condition, env, agg_values)):
-                    return self._eval(result, env, agg_values)
-            if expr.default is not None:
-                return self._eval(expr.default, env, agg_values)
-            return None
+            default = sub(expr.default) if expr.default is not None else None
+            return _case([(sub(c), sub(r)) for c, r in expr.whens], default)
         if isinstance(expr, ast.Star):
-            raise SQLError("'*' is only valid in select lists and COUNT(*)")
-        raise SQLError(f"cannot evaluate expression: {expr!r}")
+            return _fails("'*' is only valid in select lists and COUNT(*)")
+        return _fails(f"cannot evaluate expression: {expr!r}")
 
-    def _eval_binary(
-        self,
-        expr: ast.Binary,
-        env: Env,
-        agg_values: dict[ast.FunctionCall, Any] | None,
-    ) -> Any:
-        op = expr.op
-        if op == "AND":
-            left = self._eval(expr.left, env, agg_values)
-            if left is not None and not _truthy(left):
-                return False
-            right = self._eval(expr.right, env, agg_values)
-            if right is not None and not _truthy(right):
-                return False
-            if left is None or right is None:
-                return None
-            return True
-        if op == "OR":
-            left = self._eval(expr.left, env, agg_values)
-            if left is not None and _truthy(left):
-                return True
-            right = self._eval(expr.right, env, agg_values)
-            if right is not None and _truthy(right):
-                return True
-            if left is None or right is None:
-                return None
-            return False
-        left = self._eval(expr.left, env, agg_values)
-        right = self._eval(expr.right, env, agg_values)
-        if op == "||":
-            if left is None or right is None:
-                return None
-            return str(left) + str(right)
-        if op == "LIKE":
-            if left is None or right is None:
-                return None
-            return _like(str(left), str(right))
-        if left is None or right is None:
-            return None
-        if op == "=":
-            return left == right
-        if op == "<>":
-            return left != right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if right == 0:
-                raise SQLError("division by zero")
-            result = left / right
-            return result
-        if op == "%":
-            if right == 0:
-                raise SQLError("modulo by zero")
-            return left % right
-        raise SQLError(f"unknown binary operator: {op}")
-
-    def _eval_function(
+    def _compile_function(
         self,
         call: ast.FunctionCall,
-        env: Env,
-        agg_values: dict[ast.FunctionCall, Any] | None,
-    ) -> Any:
+        scope: Scope | None,
+        slots: dict[ast.FunctionCall, int] | None,
+    ) -> Compiled:
         if call.is_aggregate:
-            if agg_values is None or call not in agg_values:
-                raise SQLError(
-                    f"aggregate {call.name} used outside a grouped context"
-                )
-            return agg_values[call]
+            slot = None if slots is None else slots.get(call)
+            if slot is None:
+                return _fails(f"aggregate {call.name} used outside a grouped context")
+            return lambda env, aggs: aggs[slot]
         handler = SCALAR_FUNCTIONS.get(call.name)
         if handler is None:
-            raise SQLError(f"unknown function: {call.name}")
-        args = [self._eval(arg, env, agg_values) for arg in call.args]
-        return handler(args)
+            return _fails(f"unknown function: {call.name}")
+        args = [self._compile(arg, scope, slots) for arg in call.args]
+        if len(args) == 1:
+            (only,) = args
+            return _fold(lambda env, aggs: handler([only(env, aggs)]), only)
+        return _fold(
+            lambda env, aggs: handler([arg(env, aggs) for arg in args]), *args
+        )
+
+    def _compile_subquery(
+        self,
+        expr: ast.Exists | ast.Subquery | ast.InSubquery,
+        scope: Scope | None,
+        slots: dict[ast.FunctionCall, int] | None,
+    ) -> Compiled:
+        """Subqueries are uncorrelated: each runs at most once per statement,
+        the first time an evaluation reaches it."""
+
+        @functools.cache
+        def result() -> SQLResult:
+            return self._execute_select(expr.select)
+
+        if isinstance(expr, ast.Exists):
+            negated = expr.negated
+            return lambda env, aggs: bool(result().rows) != negated
+        if isinstance(expr, ast.Subquery):
+
+            def scalar(env: Env, aggs: list[Any] | None) -> Any:
+                found = result()
+                if not found.rows or not found.columns:
+                    return None
+                return found.rows[0][found.columns[0]]
+
+            return scalar
+        operand = self._compile(expr.operand, scope, slots)
+        negated = expr.negated
+
+        @functools.cache
+        def members() -> set[Any]:
+            found = result()
+            return {row[found.columns[0]] for row in found.rows}
+
+        def in_subquery(env: Env, aggs: list[Any] | None) -> Any:
+            value = operand(env, aggs)
+            if value is None:
+                return None
+            if not result().columns:
+                return negated
+            return (value in members()) != negated
+
+        return in_subquery
+
+
+# ----------------------------------------------------------------------
+# Compiled expression nodes
+# ----------------------------------------------------------------------
+class _Constant:
+    """A folded subtree: the same value for every env."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: Any) -> None:
+        self.value = value
+
+    def __call__(self, env: Env, aggs: list[Any] | None) -> Any:
+        return self.value
+
+
+def _fold(node: Compiled, *children: Compiled) -> Compiled:
+    """*node* as a constant when all its children are, unless evaluating it
+    raises — then the error stays where the evaluation would reach it."""
+    if not all(isinstance(child, _Constant) for child in children):
+        return node
+    try:
+        return _Constant(node({}, None))
+    except Exception:
+        return node
+
+
+def _fails(message: str) -> Compiled:
+    def fail(env: Env, aggs: list[Any] | None) -> Any:
+        raise SQLError(message)
+
+    return fail
+
+
+def _column(ref: ast.ColumnRef, scope: Scope | None) -> Compiled:
+    owners: list[str] = []
+    if scope is not None:
+        if ref.table is None:
+            owners = [binding for binding, columns in scope.items() if ref.name in columns]
+        elif ref.name in scope.get(ref.table, ()):
+            owners = [ref.table]
+    if len(owners) == 1:
+        binding, name = owners[0], ref.name
+        return lambda env, aggs: env[binding][name]
+    return lambda env, aggs: _resolve(env, ref)
+
+
+def _unary(op: str, operand: Compiled) -> Compiled:
+    if op == "-":
+
+        def negate(env: Env, aggs: list[Any] | None) -> Any:
+            value = operand(env, aggs)
+            return None if value is None else -value
+
+        return negate
+    if op == "NOT":
+
+        def invert(env: Env, aggs: list[Any] | None) -> Any:
+            value = operand(env, aggs)
+            return None if value is None else not value
+
+        return invert
+
+    def unknown(env: Env, aggs: list[Any] | None) -> Any:
+        operand(env, aggs)
+        raise SQLError(f"unknown unary operator: {op}")
+
+    return unknown
+
+
+def _binary(op: str, left: Compiled, right: Compiled) -> Compiled:
+    if op == "AND":
+
+        def both(env: Env, aggs: list[Any] | None) -> Any:
+            a = left(env, aggs)
+            if a is not None and not a:
+                return False
+            b = right(env, aggs)
+            if b is not None and not b:
+                return False
+            if a is None or b is None:
+                return None
+            return True
+
+        return _fold(both, left, right)
+    if op == "OR":
+
+        def either(env: Env, aggs: list[Any] | None) -> Any:
+            a = left(env, aggs)
+            if a is not None and a:
+                return True
+            b = right(env, aggs)
+            if b is not None and b:
+                return True
+            if a is None or b is None:
+                return None
+            return False
+
+        return _fold(either, left, right)
+    if op == "LIKE" and isinstance(right, _Constant) and right.value is not None:
+        match = _like_regex(str(right.value)).fullmatch
+
+        def like(env: Env, aggs: list[Any] | None) -> Any:
+            text = left(env, aggs)
+            return None if text is None else match(str(text)) is not None
+
+        return _fold(like, left)
+    apply = _BINARY_OPS.get(op) or _unknown_binary(op)
+    if isinstance(right, _Constant) and right.value is not None:
+        constant = right.value
+
+        def with_constant(env: Env, aggs: list[Any] | None) -> Any:
+            a = left(env, aggs)
+            return None if a is None else apply(a, constant)
+
+        return _fold(with_constant, left)
+
+    def binary(env: Env, aggs: list[Any] | None) -> Any:
+        a = left(env, aggs)
+        b = right(env, aggs)
+        if a is None or b is None:
+            return None
+        return apply(a, b)
+
+    return _fold(binary, left, right)
+
+
+def _in_list(operand: Compiled, items: list[Compiled], negated: bool) -> Compiled:
+    def members(env: Env, aggs: list[Any] | None) -> set[Any]:
+        return {item(env, aggs) for item in items}
+
+    folded = _fold(members, *items)
+    constant = folded.value if isinstance(folded, _Constant) else None
+
+    def in_list(env: Env, aggs: list[Any] | None) -> Any:
+        value = operand(env, aggs)
+        if value is None:
+            return None
+        found = value in (members(env, aggs) if constant is None else constant)
+        return found != negated
+
+    return _fold(in_list, operand, *items)
+
+
+def _between(
+    operand: Compiled, low: Compiled, high: Compiled, negated: bool
+) -> Compiled:
+    def between(env: Env, aggs: list[Any] | None) -> Any:
+        value = operand(env, aggs)
+        lower = low(env, aggs)
+        upper = high(env, aggs)
+        if value is None or lower is None or upper is None:
+            return None
+        return (lower <= value <= upper) != negated
+
+    return _fold(between, operand, low, high)
+
+
+def _case(whens: list[tuple[Compiled, Compiled]], default: Compiled | None) -> Compiled:
+    def case(env: Env, aggs: list[Any] | None) -> Any:
+        for condition, result in whens:
+            if condition(env, aggs):
+                return result(env, aggs)
+        return None if default is None else default(env, aggs)
+
+    parts = [node for pair in whens for node in pair]
+    return _fold(case, *parts, *([default] if default is not None else []))
+
+
+def _divide(left: Any, right: Any) -> Any:
+    if right == 0:
+        raise SQLError("division by zero")
+    return left / right
+
+
+def _modulo(left: Any, right: Any) -> Any:
+    if right == 0:
+        raise SQLError("modulo by zero")
+    return left % right
+
+
+def _unknown_binary(op: str) -> Callable[[Any, Any], Any]:
+    def unknown(left: Any, right: Any) -> Any:
+        raise SQLError(f"unknown binary operator: {op}")
+
+    return unknown
+
+
+_BINARY_OPS: dict[str, Callable[[Any, Any], Any]] = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _divide,
+    "%": _modulo,
+    "||": lambda left, right: str(left) + str(right),
+    "LIKE": lambda left, right: _like_regex(str(right)).fullmatch(str(left)) is not None,
+}
 
 
 # ----------------------------------------------------------------------
@@ -600,14 +812,6 @@ class _SortKey:
         if self.descending:
             return b < a
         return a < b
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _SortKey) and self.value == other.value
-
-
-def _truthy(value: Any) -> bool:
-    """SQL filter semantics: NULL (None) is not true."""
-    return bool(value) and value is not None
 
 
 def _resolve(env: Env, ref: ast.ColumnRef) -> Any:
@@ -719,9 +923,9 @@ def _output_name(expr: ast.Expr) -> str:
     return "expr"
 
 
-def _like(text: str, pattern: str) -> bool:
+def _like_regex(pattern: str) -> re.Pattern[str]:
     regex = re.escape(pattern).replace(r"%", ".*").replace(r"_", ".")
-    return re.fullmatch(regex, text, flags=re.IGNORECASE) is not None
+    return re.compile(regex, flags=re.IGNORECASE)
 
 
 def _null_row(table: Table) -> dict[str, Any]:

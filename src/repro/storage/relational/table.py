@@ -64,22 +64,39 @@ class Table:
         self, predicate: Callable[[dict[str, Any]], bool], changes: dict[str, Any]
     ) -> int:
         """Apply *changes* to rows matching *predicate*; returns count."""
-        unknown = set(changes) - set(self.schema.column_names())
-        if unknown:
-            raise SchemaError(f"unknown columns in update: {sorted(unknown)}")
-        updated = 0
+        self._check_columns(changes)
+        return self.update_rows(lambda row: changes if predicate(row) else None)
+
+    def update_rows(
+        self, changes_for: Callable[[dict[str, Any]], dict[str, Any] | None]
+    ) -> int:
+        """Update every row at most once; returns the number updated.
+
+        *changes_for* sees each row of one snapshot and returns that row's
+        changes (None leaves it alone).  All new rows are validated before
+        any is stored, then applied by row id in one pass, so a changed row
+        is never evaluated again and a bad value changes nothing.
+        """
         with self._lock:
+            pending = []
             for row_id, row in self._rows.items():
-                if not predicate(row):
-                    continue
-                new_row = self.schema.validate_row({**row, **changes})
+                changes = changes_for(row)
+                if changes is not None:
+                    self._check_columns(changes)
+                    pending.append((row_id, self.schema.validate_row({**row, **changes})))
+            for row_id, new_row in pending:
+                row = self._rows[row_id]
                 for column, index in self._indices.items():
                     if row[column] != new_row[column]:
                         index.remove(row[column], row_id)
                         index.insert(new_row[column], row_id)
                 self._rows[row_id] = new_row
-                updated += 1
-        return updated
+        return len(pending)
+
+    def _check_columns(self, changes: dict[str, Any]) -> None:
+        unknown = set(changes) - set(self.schema.column_names())
+        if unknown:
+            raise SchemaError(f"unknown columns in update: {sorted(unknown)}")
 
     def delete(self, predicate: Callable[[dict[str, Any]], bool]) -> int:
         """Delete rows matching *predicate*; returns count."""
@@ -94,19 +111,28 @@ class Table:
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
+    def snapshot(self, row_ids: Iterable[int] | None = None) -> list[dict[str, Any]]:
+        """All rows, or those with *row_ids*, in insertion order, uncopied.
+
+        The dicts are the table's own and are shared read-only: writes
+        replace a row's dict rather than mutating it, so the list stays a
+        consistent snapshot.  Copy a row before handing it out.
+        """
+        with self._lock:
+            if row_ids is None:
+                return list(self._rows.values())
+            return [self._rows[rid] for rid in sorted(row_ids) if rid in self._rows]
+
     def scan(self) -> Iterator[dict[str, Any]]:
         """Iterate over copies of all rows in insertion order."""
-        with self._lock:
-            snapshot = [self._rows[rid] for rid in sorted(self._rows)]
-        for row in snapshot:
+        for row in self.snapshot():
             yield dict(row)
 
     def rows(self) -> list[dict[str, Any]]:
         return list(self.scan())
 
     def get_by_row_ids(self, row_ids: Iterable[int]) -> list[dict[str, Any]]:
-        with self._lock:
-            return [dict(self._rows[rid]) for rid in sorted(row_ids) if rid in self._rows]
+        return [dict(row) for row in self.snapshot(row_ids)]
 
     # ------------------------------------------------------------------
     # Indices
