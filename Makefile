@@ -24,14 +24,14 @@ parallel:
 
 fleet:
 	PYTHONPATH=src python -m pytest benchmarks/bench_fleet.py --benchmark-disable
-	PYTHONPATH=src python -m pytest tests/core/test_fleet.py tests/llm/test_capacity_singleflight.py tests/properties/test_fleet_properties.py tests/streams/test_dispatch_index.py -q
+	PYTHONPATH=src python -m pytest tests/core/test_fleet.py tests/llm/test_capacity_singleflight.py tests/llm/test_capacity_profile.py tests/properties/test_fleet_properties.py tests/streams/test_dispatch_index.py -q
 
 engine:
 	PYTHONPATH=src python -m pytest tests/core/test_engine.py tests/properties/test_parallel_properties.py tests/properties/test_fleet_properties.py -q
 
 batch:
 	PYTHONPATH=src python -m pytest benchmarks/bench_fleet.py --benchmark-disable
-	PYTHONPATH=src python -m pytest tests/llm/test_batching.py tests/llm/test_cache.py tests/llm/test_capacity_singleflight.py tests/properties/test_fleet_properties.py::TestBatchingDeterminism -q
+	PYTHONPATH=src python -m pytest tests/llm/test_batching.py tests/llm/test_cache.py tests/llm/test_capacity_singleflight.py tests/llm/test_capacity_profile.py tests/properties/test_fleet_properties.py::TestBatchingDeterminism -q
 
 profile:
 	PYTHONPATH=src python -m pytest benchmarks/bench_profile.py --benchmark-disable
@@ -43,7 +43,7 @@ overload:
 
 shard:
 	PYTHONPATH=src python -m pytest benchmarks/bench_shard.py --benchmark-disable
-	PYTHONPATH=src python -m pytest tests/storage/test_cluster.py tests/storage/test_sharded_relational.py tests/storage/test_failure_detector.py tests/streams/test_partitioned.py tests/core/test_shard_pruning.py tests/properties/test_shard_properties.py tests/storage/test_scan_cuts.py tests/storage/test_sql_compiled.py tests/storage/test_sql_differential.py -q
+	PYTHONPATH=src python -m pytest tests/storage/test_cluster.py tests/storage/test_sharded_relational.py tests/storage/test_failure_detector.py tests/streams/test_partitioned.py tests/core/test_shard_pruning.py tests/properties/test_shard_properties.py tests/storage/test_scan_cuts.py tests/storage/test_sql_compiled.py tests/storage/test_sql_differential.py tests/storage/test_sharded_subqueries.py -q
 
 streams:
 	PYTHONPATH=src python -m pytest benchmarks/bench_streams.py --benchmark-disable

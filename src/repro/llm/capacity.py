@@ -21,14 +21,19 @@ branches rebase the clock, so a later reservation may start earlier in
 simulated time than one already recorded.  :meth:`reserve` therefore
 checks the whole candidate window against every recorded interval — the
 invariant is that no instant ever has more than ``limit`` overlapping
-reservations, regardless of the order they were made in.
+reservations, regardless of the order they were made in.  Each model
+keeps an occupancy profile (active-reservation counts between sorted
+breakpoints) that every reservation updates, so that check is one
+forward sweep from the desired start, not a re-sort of the ledger per
+candidate start.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left, bisect_right, insort
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 from ..errors import CapacityExceededError
 
@@ -49,28 +54,77 @@ class CapacityStats:
         return self.queued / self.reservations if self.reservations else 0.0
 
 
-def _max_overlap(
-    intervals: Iterable[tuple[float, float]], lo: float, hi: float
-) -> int:
-    """Peak number of *intervals* simultaneously active within ``[lo, hi)``."""
-    if hi <= lo:
-        # Empty window: count intervals covering the instant ``lo``.
-        return sum(1 for s, e in intervals if s <= lo < e)
-    events: list[tuple[float, int]] = []
-    for s, e in intervals:
-        s2, e2 = max(s, lo), min(e, hi)
-        if s2 < e2:
-            events.append((s2, 1))
-            events.append((e2, -1))
-    # Ties sort -1 first: an interval ending at t frees its slot before
-    # one starting at t takes it (half-open interval semantics).
-    events.sort()
-    current = peak = 0
-    for _, delta in events:
-        current += delta
-        if current > peak:
-            peak = current
-    return peak
+class _Ledger:
+    """One model's reservations and the occupancy profile they build.
+
+    The profile is a step function over simulated time: ``points`` are
+    the sorted distinct starts and ends of the positive-length intervals,
+    ``counts[i]`` is the number of reservations active on the segment
+    ``[points[i], points[i + 1])`` (zero before ``points[0]`` and from the
+    last point on), and ``ends`` holds every interval end, sorted — the
+    instants at which a slot can free, hence the only starts worth trying
+    after the desired one.
+    """
+
+    __slots__ = ("intervals", "points", "counts", "ends")
+
+    def __init__(self) -> None:
+        #: Every reservation in the order it was made.
+        self.intervals: list[tuple[float, float]] = []
+        self.points: list[float] = []
+        self.counts: list[int] = []
+        self.ends: list[float] = []
+
+    def record(self, start: float, end: float) -> None:
+        self.intervals.append((start, end))
+        insort(self.ends, end)
+        if start < end:
+            first = self._split(start)
+            last = self._split(end)
+            counts = self.counts
+            for index in range(first, last):
+                counts[index] += 1
+
+    def _split(self, point: float) -> int:
+        """Index of the breakpoint *point*, inserting it if absent."""
+        points = self.points
+        index = bisect_left(points, point)
+        if index == len(points) or points[index] != point:
+            points.insert(index, point)
+            self.counts.insert(index, self.counts[index - 1] if index else 0)
+        return index
+
+    def earliest_start(self, start: float, duration: float, limit: int) -> float:
+        """First of ``start`` and the recorded ends after it at which
+        ``[t, t + duration)`` never has ``limit`` reservations active.
+
+        One forward sweep: a segment at or over the limit inside the
+        window rules out every later candidate before that segment's end
+        too, so the search jumps to the first interval end at or after it.
+        """
+        points, counts, ends = self.points, self.counts, self.ends
+        t = start
+        while True:
+            hi = t + duration
+            index = bisect_right(points, t) - 1
+            blocked = -1
+            if hi <= t:
+                # Empty window: only the instant ``t`` itself counts.
+                if index >= 0 and counts[index] >= limit:
+                    blocked = index
+            else:
+                index = max(index, 0)
+                while index < len(points) and points[index] < hi:
+                    if counts[index] >= limit:
+                        blocked = index
+                        break
+                    index += 1
+            if blocked < 0:
+                return t
+            # The last segment has count 0, so ``blocked + 1`` exists, and
+            # a reservation active on the blocked segment ends at or
+            # after its end.
+            t = ends[bisect_left(ends, points[blocked + 1])]
 
 
 class ModelCapacity:
@@ -102,7 +156,7 @@ class ModelCapacity:
         #: :class:`~repro.errors.CapacityExceededError` instead of
         #: queueing (None = queue unboundedly, the pre-overload default).
         self.max_queue_wait = max_queue_wait
-        self._intervals: dict[str, list[tuple[float, float]]] = {}
+        self._ledgers: dict[str, _Ledger] = {}
         self._lock = threading.Lock()
         self._reservations = 0
         self._queued = 0
@@ -126,19 +180,15 @@ class ModelCapacity:
         way.  ``actual_start - start`` is the deterministic queue wait.
         """
         with self._lock:
-            intervals = self._intervals.setdefault(model, [])
+            ledger = self._ledgers.get(model)
+            if ledger is None:
+                ledger = self._ledgers[model] = _Ledger()
             limit = self.limit_for(model)
-            actual = start
-            if limit is not None and intervals:
-                # Candidate starts: the desired time plus every recorded
-                # interval end after it (a slot can only free at an end).
-                candidates = sorted(
-                    {start} | {e for _, e in intervals if e > start}
-                )
-                for t in candidates:
-                    if _max_overlap(intervals, t, t + duration) < limit:
-                        actual = t
-                        break
+            actual = (
+                start
+                if limit is None
+                else ledger.earliest_start(start, duration, limit)
+            )
             wait = actual - start
             if self.max_queue_wait is not None and wait > self.max_queue_wait:
                 # Refuse rather than queue: nothing is recorded, so the
@@ -150,7 +200,7 @@ class ModelCapacity:
                     f"model {model!r} queue wait {wait:.3f}s exceeds "
                     f"max_queue_wait {self.max_queue_wait:.3f}s"
                 )
-            intervals.append((actual, actual + duration))
+            ledger.record(actual, actual + duration)
             self._reservations += 1
             if wait > 0:
                 self._queued += 1
@@ -164,21 +214,18 @@ class ModelCapacity:
     # ------------------------------------------------------------------
     def intervals(self, model: str) -> list[tuple[float, float]]:
         with self._lock:
-            return list(self._intervals.get(model, ()))
+            ledger = self._ledgers.get(model)
+            return list(ledger.intervals) if ledger is not None else []
 
     def models(self) -> list[str]:
         with self._lock:
-            return sorted(self._intervals)
+            return sorted(self._ledgers)
 
     def max_concurrency(self, model: str) -> int:
         """Peak observed in-flight calls for *model* across the ledger."""
         with self._lock:
-            intervals = list(self._intervals.get(model, ()))
-        if not intervals:
-            return 0
-        lo = min(s for s, _ in intervals)
-        hi = max(e for _, e in intervals)
-        return _max_overlap(intervals, lo, hi if hi > lo else lo + 1.0)
+            ledger = self._ledgers.get(model)
+            return max(ledger.counts, default=0) if ledger is not None else 0
 
     def stats(self) -> CapacityStats:
         with self._lock:
@@ -193,4 +240,4 @@ class ModelCapacity:
     def clear(self) -> None:
         """Drop the interval ledger (tallies survive: they are history)."""
         with self._lock:
-            self._intervals.clear()
+            self._ledgers.clear()

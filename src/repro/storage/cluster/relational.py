@@ -15,11 +15,11 @@ SQL execution at the router takes one of two paths:
   DISTINCT, or OFFSET execute on each pruned shard's primary (ORDER BY
   and LIMIT pushed down: per-shard top-k is a superset of the global
   top-k), then the router merges, re-sorts, and re-limits.
-* **Gather** — anything else (joins, multi-shard aggregates and GROUP
-  BY) copies the pruned slices of every referenced table into an
-  ephemeral single-node scratch database and runs the original statement
-  there once.  Slower, but gives full SQL semantics with one
-  implementation.
+* **Gather** — anything else (joins, subqueries, multi-shard aggregates
+  and GROUP BY) copies the pruned slices of the FROM and JOIN tables, and
+  every table a subquery names in full, into an ephemeral single-node
+  scratch database and runs the original statement there once.  Slower,
+  but gives full SQL semantics with one implementation.
 
 Writes never take a shortcut: INSERT rows are evaluated at the router,
 routed by partition value, and quorum-appended; UPDATE/DELETE replay the
@@ -394,15 +394,14 @@ class ShardedDatabase(Database):
         """Whether each pruned shard can run *select* itself.
 
         One shard holds every row a join-free statement can see, so it runs
-        whole there; a subquery could name another table, whose slice on
-        that shard is not the whole table.  Across shards the router can
-        only re-sort and re-limit what the shards return.
+        whole there.  A subquery can name any table, whose slice on a shard
+        is not the whole table, so a statement holding one always gathers.
+        Across shards the router can only re-sort and re-limit what the
+        shards return.
         """
-        if select.joins:
+        if select.joins or _subqueries(select):
             return False
-        if len(shards) == 1 and not any(
-            _has_node(expr, _is_subquery) for expr in _expressions(select)
-        ):
+        if len(shards) == 1:
             return True
         if select.group_by or select.having is not None:
             return False
@@ -461,19 +460,26 @@ class ShardedDatabase(Database):
         parameters: dict[str, Any],
         shards: list[int],
     ) -> SQLResult:
-        """Copy pruned slices into a scratch database; run the SQL once."""
+        """Copy pruned slices into a scratch database; run the SQL once.
+
+        The FROM and JOIN tables contribute the shards their bindings prune
+        to (a table bound twice gets the union); a table named inside a
+        subquery is copied whole, since its WHERE never pruned it.
+        """
         scratch = Database(f"{self.name}:scratch")
         copied = 0
-        refs = [(select.table.name, select.table.binding(), shards)]
+        wanted: dict[str, list[int]] = {select.table.name: list(shards)}
         for join in select.joins:
             join_front = self.table(join.table.name)
             join_shards = self._prune(
                 select.where, join_front, join.table.binding(), parameters
             )
-            refs.append((join.table.name, join.table.binding(), join_shards))
-        for table_name, _binding, table_shards in refs:
-            if scratch.has_table(table_name):
-                continue
+            merged = wanted.setdefault(join.table.name, [])
+            merged += [shard for shard in join_shards if shard not in merged]
+        for subquery in _subqueries(select):
+            for ref in (subquery.table, *(join.table for join in subquery.joins)):
+                wanted[ref.name] = self.cluster.ring.all_shards()
+        for table_name, table_shards in wanted.items():
             front = self.table(table_name)
             target = scratch.create_table(front.schema)
             for state in self.cluster.primary_states(table_shards):
@@ -542,8 +548,9 @@ class ShardedDatabase(Database):
 
 
 def _expressions(select: ast.Select) -> list[ast.Expr]:
-    """Every top-level expression of a join-free SELECT."""
+    """Every top-level expression of a SELECT, join conditions included."""
     found = [item.expr for item in select.items]
+    found += [join.condition for join in select.joins if join.condition is not None]
     found += [order.expr for order in select.order_by]
     found += list(select.group_by)
     found += [expr for expr in (select.where, select.having) if expr is not None]
@@ -554,8 +561,17 @@ def _has_node(expr: ast.Expr, test: Callable[[ast.Expr], bool]) -> bool:
     return test(expr) or any(_has_node(child, test) for child in ast.children(expr))
 
 
-def _is_subquery(expr: ast.Expr) -> bool:
-    return isinstance(expr, (ast.Subquery, ast.InSubquery, ast.Exists))
+def _subqueries(select: ast.Select) -> list[ast.Select]:
+    """The SELECT of every subquery inside *select*, nested ones included."""
+    found: list[ast.Select] = []
+    pending = _expressions(select)
+    while pending:
+        expr = pending.pop()
+        if isinstance(expr, (ast.Subquery, ast.InSubquery, ast.Exists)):
+            found.append(expr.select)
+            pending += _expressions(expr.select)
+        pending += ast.children(expr)
+    return found
 
 
 def _is_aggregate(expr: ast.Expr) -> bool:

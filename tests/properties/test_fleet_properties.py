@@ -27,6 +27,12 @@ Acceptance criteria for fleet execution:
   divergence: serial stops at the first failing node, thread mode has
   already started its siblings, so serial's executed set is a subset.
 
+* **No capacity overbooking.**  After a fleet run with shared model
+  capacity, no model ever had more reservations in flight than its
+  limit: the capacity's own peak (read from its occupancy profile)
+  stays at or below the limit and equals a brute-force sweep of the
+  recorded intervals, and the queueing tallies repeat run to run.
+
 * **Batching determinism.**  A serial fleet with micro-batching enabled
   reproduces the store export byte for byte run to run: batch-window
   membership and flush instants are pure functions of the submission
@@ -441,3 +447,48 @@ class TestBatchingDeterminism:
             }
 
         assert outcomes(LLMBatcher(max_batch_wait=1.0)) == outcomes(False)
+
+
+def swept_peak(intervals) -> int:
+    """Most intervals active at one instant, by brute force."""
+    return max(
+        (
+            sum(1 for s, e in intervals if s <= x < e)
+            for x, end in intervals
+            if x < end
+        ),
+        default=0,
+    )
+
+
+class TestCapacityInvariant:
+    @given(
+        seed=st.integers(min_value=0, max_value=100),
+        small=st.integers(min_value=1, max_value=2),
+        medium=st.integers(min_value=1, max_value=2),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_no_model_is_ever_overbooked(self, seed, small, medium):
+        order = [(seed + k) % 5 for k in range(5)]
+        limits = {"mega-s": small, "mega-m": medium}
+
+        def run():
+            bp, _ = run_fleet_blueprint(
+                order, max_inflight=4, capacity=dict(limits), single_flight=False
+            )
+            return bp.catalog.capacity
+
+        capacity = run()
+        assert set(capacity.models()) == set(limits)
+        for model, limit in limits.items():
+            intervals = capacity.intervals(model)
+            assert intervals
+            assert capacity.max_concurrency(model) <= limit
+            assert capacity.max_concurrency(model) == swept_peak(intervals)
+        if small == 1:
+            assert capacity.stats().queued > 0
+        again = run().stats()
+        assert (again.queued, again.total_wait) == (
+            capacity.stats().queued,
+            capacity.stats().total_wait,
+        )
